@@ -3,8 +3,7 @@
 //! ```text
 //! file := magic:u32 "GOBM" | version:u8 | pad:[u8;3]
 //!       | raw_config_model_len:u32 | raw_config_model (gobo-model io format,
-//!             carrying config + aux tensors + placeholder weights of length 0? —
-//!             see below)
+//!             carrying config + aux tensors + unarchived weights; see below)
 //!       | archive_len:u32 | archive (gobo-quant container format)
 //!       | crc:u32            (v2: CRC32 of every preceding byte)
 //! ```
@@ -20,7 +19,10 @@
 //! `gobo-model::io` format: it carries the config, the FP32 auxiliary
 //! parameters (biases, LayerNorms), and only those quantizable weights
 //! the archive does NOT cover (e.g. embeddings when only FC weights
-//! were quantized). The archive carries the compressed weights.
+//! were quantized). The archive carries the compressed weights. In
+//! memory the same split holds: [`CompressedModel::skeleton`] has no
+//! entry at all for an archived weight, so nothing can read a
+//! placeholder in its place.
 
 use gobo_model::io::{load_model_partial, save_model_with};
 use gobo_model::{ModelError, TransformerModel};
@@ -74,9 +76,10 @@ impl From<QuantError> for FormatError {
 /// quantized layers.
 #[derive(Debug, Clone)]
 pub struct CompressedModel {
-    /// Skeleton model carrying the configuration and the auxiliary
-    /// (bias / LayerNorm) parameters; its quantizable weights are
-    /// placeholders.
+    /// Skeleton model carrying the configuration, the auxiliary
+    /// (bias / LayerNorm) parameters and the unarchived weights. It
+    /// holds no archived weight: `weight(name)` on one is
+    /// [`ModelError::UnknownLayer`].
     pub skeleton: TransformerModel,
     /// The quantized layers, named as in the skeleton.
     pub archive: ModelArchive,
@@ -84,18 +87,15 @@ pub struct CompressedModel {
 
 impl CompressedModel {
     /// Builds the compressed form of `model` from its quantization
-    /// archive: the skeleton keeps config + aux, with archived weights
-    /// zeroed (they are not serialized; see [`CompressedModel::to_bytes`]).
+    /// archive: the skeleton keeps config + aux and drops every
+    /// archived weight.
     ///
     /// Layers missing from the archive (e.g. embeddings when only FC
     /// weights were quantized) keep their FP32 values in the skeleton.
     pub fn new(model: &TransformerModel, archive: ModelArchive) -> Self {
         let mut skeleton = model.clone();
         for (name, _) in archive.iter() {
-            if let Ok(t) = skeleton.weight(name) {
-                let dims = t.dims().to_vec();
-                skeleton.set_weight(name, Tensor::zeros(&dims)).expect("same shape");
-            }
+            skeleton.remove_weight(name);
         }
         CompressedModel { skeleton, archive }
     }
@@ -104,13 +104,27 @@ impl CompressedModel {
     ///
     /// # Errors
     ///
-    /// Propagates shape mismatches between archive entries and the
-    /// skeleton.
+    /// Propagates archive entries the model does not know and shape
+    /// mismatches between an entry and its spec.
     pub fn decode(&self) -> Result<TransformerModel, FormatError> {
+        self.decode_layers(|_| true)
+    }
+
+    /// The skeleton plus the archived layers `select` accepts, decoded
+    /// to FP32; the other archived layers stay absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompressedModel::decode`], for the selected layers.
+    pub fn decode_layers(
+        &self,
+        mut select: impl FnMut(&str) -> bool,
+    ) -> Result<TransformerModel, FormatError> {
         let mut model = self.skeleton.clone();
-        for (name, layer) in self.archive.iter() {
-            let dims = model.weight(name)?.dims().to_vec();
-            let tensor = Tensor::from_vec(layer.decode(), &dims).map_err(ModelError::from)?;
+        for (name, layer) in self.archive.iter().filter(|(name, _)| select(name)) {
+            let spec = model.weight_spec(name)?;
+            let tensor = Tensor::from_vec(layer.decode(), &[spec.rows, spec.cols])
+                .map_err(ModelError::from)?;
             model.set_weight(name, tensor)?;
         }
         Ok(model)
@@ -193,7 +207,7 @@ impl CompressedModel {
         let mut pos = 5usize; // magic + version, already checked
         let _pad = take(&mut pos, 3)?;
         let raw_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let (skeleton, provided) = load_model_partial(take(&mut pos, raw_len)?)?;
+        let skeleton = load_model_partial(take(&mut pos, raw_len)?)?;
         let archive_len =
             u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
         let archive = ModelArchive::from_bytes(take(&mut pos, archive_len)?)?;
@@ -202,7 +216,7 @@ impl CompressedModel {
         }
         // Every quantizable weight must come from exactly one side.
         for spec in skeleton.fc_layers().iter().chain(&skeleton.embedding_tables()) {
-            let in_skeleton = provided.contains(&spec.name);
+            let in_skeleton = skeleton.weight(&spec.name).is_ok();
             let in_archive = archive.get(&spec.name).is_some();
             if !in_skeleton && !in_archive {
                 return Err(FormatError::Corrupt("weight missing from skeleton and archive"));
@@ -260,9 +274,39 @@ mod tests {
         // Embeddings were not quantized: the skeleton keeps them FP32.
         let word = compressed.skeleton.weight("embeddings.word").unwrap();
         assert!(word.as_slice().iter().any(|&v| v != 0.0));
-        // FC weights are zeroed placeholders.
-        let pooler = compressed.skeleton.weight("pooler").unwrap();
-        assert!(pooler.as_slice().iter().all(|&v| v == 0.0));
+        // Archived FC weights are absent, not zeroed placeholders.
+        assert!(matches!(
+            compressed.skeleton.weight("pooler"),
+            Err(ModelError::UnknownLayer { .. })
+        ));
+    }
+
+    #[test]
+    fn parsed_skeleton_lacks_archived_weights_and_decode_is_exact() {
+        let config = ModelConfig::tiny("CliFmt", 2, 24, 2, 40, 12).unwrap();
+        let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(5)).unwrap();
+        let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap()).unwrap();
+        let restored =
+            CompressedModel::from_bytes(&CompressedModel::new(&model, outcome.archive).to_bytes())
+                .unwrap();
+        assert!(!restored.archive.is_empty());
+        for (name, _) in restored.archive.iter() {
+            assert!(
+                matches!(restored.skeleton.weight(name), Err(ModelError::UnknownLayer { .. })),
+                "{name} has an FP32 copy in the skeleton"
+            );
+        }
+        // The decoded model equals the pipeline's, bit for bit.
+        let decoded = restored.decode().unwrap();
+        assert_eq!(decoded.iter().count(), outcome.model.iter().count());
+        for (name, want) in outcome.model.iter() {
+            let got = decoded.weight(name).unwrap();
+            assert_eq!(got.dims(), want.dims(), "{name}");
+            assert!(
+                got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{name} differs from the pipeline's decode"
+            );
+        }
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Ragged batched encoder forward pass.
+//! The encoder forward pass, over a ragged batch.
 //!
-//! A coalesced serve batch holds sequences of *different* lengths. This
-//! module stacks them into one `(Σ lenᵢ, hidden)` activation panel so
-//! every FC product — the operations that dominate encoder cost and the
-//! ones a compute-on-compressed backend amortizes across rows — runs
-//! once per layer over the whole batch. Only self-attention, which
-//! mixes information *within* a sequence, is computed per sequence on a
-//! row slice of the panel.
+//! This is the only forward implementation;
+//! [`TransformerModel::encode`] is a batch of one. A coalesced serve
+//! batch holds sequences of *different* lengths. They are stacked into
+//! one `(Σ lenᵢ, hidden)` activation panel so every FC product — the
+//! operations that dominate encoder cost and the ones a
+//! compute-on-compressed backend amortizes across rows — runs once per
+//! layer over the whole batch. Only self-attention, which mixes
+//! information *within* a sequence, is computed per sequence on a row
+//! slice of the panel.
 //!
 //! ## Bit-identity
 //!
 //! Every stacked operation (FC products, bias adds, GELU/tanh,
 //! per-row LayerNorm, per-sequence attention) treats each activation
-//! row independently and in the same order as the solo path, so
-//! [`TransformerModel::encode_batch`] produces outputs **bitwise
-//! identical** to calling [`TransformerModel::encode`] once per
-//! sequence. The serve tier's byte-identical parity tests rely on this.
+//! row independently, so a sequence's output is **bitwise identical**
+//! whether it is encoded alone or inside a batch of any composition.
+//! The serve tier's byte-identical parity tests rely on this.
 
 use gobo_tensor::embed::gather_rows;
 use gobo_tensor::linalg::{merge_heads, split_heads, transpose_batched};

@@ -9,11 +9,14 @@
 //! pass (embeddings, attention shape-shuffling, LayerNorms, biases) is
 //! shared.
 //!
-//! The contract a backend must honour: the returned tensor equals
-//! `input.matmul_nt(model.weight(name)?)` **bit for bit**. Backends
-//! that only match within a tolerance would make served outputs depend
-//! on which backend answered, breaking the serve tier's byte-identical
-//! parity guarantee.
+//! The contract a backend must honour: the returned tensor equals the
+//! dense product `input.matmul_nt(W)` against the **decoded** FP32
+//! weight `W` **bit for bit**. A serving engine may never hold `W`
+//! itself — its model keeps archived FC layers only in compressed
+//! form — so the reference is the weight the archive decodes to.
+//! Backends that only match within a tolerance would make served
+//! outputs depend on which backend answered, breaking the serve tier's
+//! byte-identical parity guarantee.
 
 use gobo_tensor::Tensor;
 
@@ -23,7 +26,7 @@ use crate::weights::TransformerModel;
 /// A backend computing `input × W(name)ᵀ` for the forward pass.
 pub trait WeightCompute {
     /// Computes `input.matmul_nt(W)` for the named weight, bit-for-bit
-    /// equal to the dense product against `model.weight(name)`.
+    /// equal to the dense product against its decoded FP32 form.
     ///
     /// # Errors
     ///
@@ -38,7 +41,8 @@ pub trait WeightCompute {
 }
 
 /// The default backend: multiply against the model's dense FP32
-/// weights.
+/// weights. A weight the model does not hold is an
+/// [`ModelError::UnknownLayer`] error.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DenseCompute;
 

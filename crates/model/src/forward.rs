@@ -1,17 +1,17 @@
-//! The FP32 encoder forward pass (Figure 1a).
+//! The encoder's one-sequence entry point and its input contract.
 //!
-//! Each encoder layer runs multi-head self-attention (query/key/value
-//! projections, scaled dot-product, output projection, residual +
-//! LayerNorm), then the intermediate GELU FC and output FC with another
-//! residual + LayerNorm. A final pooler (FC + tanh over the first
-//! token) produces the sentence representation used by classification
-//! heads.
+//! [`TransformerModel::encode`] runs the encoder of Figure 1a —
+//! embeddings, per-layer self-attention and feed-forward blocks with
+//! residual + LayerNorm, and the pooler (FC + tanh over the first
+//! token) — as a batch of one through
+//! [`TransformerModel::encode_batch_with`] with the dense FP32
+//! backend. There is exactly one forward implementation, so
+//! a sequence encodes the same alone and inside a served batch.
 
-use gobo_tensor::embed::gather_rows;
-use gobo_tensor::linalg::{merge_heads, split_heads, transpose_batched};
-use gobo_tensor::norm::LAYER_NORM_EPS;
 use gobo_tensor::Tensor;
 
+use crate::batch::EncodeInput;
+use crate::compute::DenseCompute;
 use crate::error::ModelError;
 use crate::weights::TransformerModel;
 
@@ -36,46 +36,9 @@ impl TransformerModel {
     /// Returns [`ModelError::InvalidInput`] for empty/overlong inputs or
     /// out-of-vocabulary ids, and propagates tensor failures.
     pub fn encode(&self, ids: &[usize], type_ids: &[usize]) -> Result<EncoderOutput, ModelError> {
-        let config = self.config();
-        self.validate_input(ids, type_ids)?;
-
-        // --- Embeddings ---------------------------------------------------
-        let word = gather_rows(self.weight("embeddings.word")?, ids)?;
-        let positions: Vec<usize> = (0..ids.len()).collect();
-        let pos = gather_rows(self.weight("embeddings.position")?, &positions)?;
-        let mut x = word.add(&pos)?;
-        if config.type_vocab > 0 {
-            let zeros;
-            let types: &[usize] = if type_ids.is_empty() {
-                zeros = vec![0usize; ids.len()];
-                &zeros
-            } else {
-                type_ids
-            };
-            let tt = gather_rows(self.weight("embeddings.token_type")?, types)?;
-            x = x.add(&tt)?;
-        }
-        x = x.layer_norm(
-            self.aux("embeddings.ln.gamma")?,
-            self.aux("embeddings.ln.beta")?,
-            LAYER_NORM_EPS,
-        )?;
-
-        // --- Encoder stack -------------------------------------------------
-        for e in 0..config.encoder_layers {
-            x = self.encoder_layer(e, &x)?;
-        }
-
-        // --- Pooler ---------------------------------------------------------
-        let pooled = if config.has_pooler {
-            let first = x.row(0)?.reshape(&[1, config.hidden])?;
-            let z = first.matmul_nt(self.weight("pooler")?)?.add_bias(self.aux("pooler.bias")?)?;
-            Some(z.tanh().reshape(&[config.hidden])?)
-        } else {
-            None
-        };
-
-        Ok(EncoderOutput { hidden: x, pooled })
+        self.encode_batch_with(&DenseCompute, &[EncodeInput { ids, type_ids }])?
+            .pop()
+            .ok_or(ModelError::InvalidInput { what: "empty encode batch" })
     }
 
     /// Validates one token sequence against the model configuration.
@@ -108,48 +71,6 @@ impl TransformerModel {
             return Err(ModelError::InvalidInput { what: "token type id outside vocabulary" });
         }
         Ok(())
-    }
-
-    /// One encoder layer: self-attention block then feed-forward block.
-    fn encoder_layer(&self, e: usize, x: &Tensor) -> Result<Tensor, ModelError> {
-        let config = self.config();
-        let prefix = format!("encoder.{e}");
-        let fc = |name: &str, input: &Tensor| -> Result<Tensor, ModelError> {
-            let full = format!("{prefix}.{name}");
-            Ok(input
-                .matmul_nt(self.weight(&full)?)?
-                .add_bias(self.aux(&format!("{full}.bias"))?)?)
-        };
-
-        // Self-attention.
-        let q = fc("attention.query", x)?;
-        let k = fc("attention.key", x)?;
-        let v = fc("attention.value", x)?;
-        let heads = config.heads;
-        let qh = split_heads(&q, heads)?;
-        let kh = split_heads(&k, heads)?;
-        let vh = split_heads(&v, heads)?;
-        let scores = qh
-            .batch_matmul(&transpose_batched(&kh)?)?
-            .scale(1.0 / (config.head_dim() as f32).sqrt());
-        let probs = scores.softmax()?;
-        let ctx = merge_heads(&probs.batch_matmul(&vh)?)?;
-        let attn = fc("attention.output", &ctx)?;
-        let x = x.add(&attn)?.layer_norm(
-            self.aux(&format!("{prefix}.attention.ln.gamma"))?,
-            self.aux(&format!("{prefix}.attention.ln.beta"))?,
-            LAYER_NORM_EPS,
-        )?;
-
-        // Feed-forward.
-        let inter = fc("intermediate", &x)?.gelu();
-        let out = fc("output", &inter)?;
-        let x = x.add(&out)?.layer_norm(
-            self.aux(&format!("{prefix}.output.ln.gamma"))?,
-            self.aux(&format!("{prefix}.output.ln.beta"))?,
-            LAYER_NORM_EPS,
-        )?;
-        Ok(x)
     }
 }
 

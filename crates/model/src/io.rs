@@ -184,28 +184,24 @@ fn aux_entries(model: &TransformerModel) -> Vec<(String, &Tensor)> {
 /// truncation, malformed or missing tensors, and shape errors when a
 /// stored tensor disagrees with the configuration.
 pub fn load_model(data: &[u8]) -> Result<TransformerModel, ModelError> {
-    let (model, provided) = load_model_partial(data)?;
+    let model = load_model_partial(data)?;
     let expected = model.fc_layers().len() + model.embedding_tables().len();
-    let provided_weights =
-        provided.iter().filter(|n| !(n.ends_with(".bias") || n.contains(".ln."))).count();
-    if provided_weights < expected {
+    if model.iter().count() < expected {
         return Err(ModelError::InvalidInput { what: "model file missing weight tensors" });
     }
     Ok(model)
 }
 
-/// Deserializes a possibly partial model, returning the names of the
-/// tensors that were actually provided. Weights absent from the file
-/// keep zeroed placeholders; callers are expected to fill them (e.g.
-/// from a quantized archive).
+/// Deserializes a possibly partial model. A weight absent from the
+/// file is absent from the returned model too
+/// ([`TransformerModel::weight`] reports it as unknown); callers such
+/// as compressed containers supply it from elsewhere.
 ///
 /// # Errors
 ///
 /// Same structural conditions as [`load_model`], minus the
 /// completeness check.
-pub fn load_model_partial(
-    data: &[u8],
-) -> Result<(TransformerModel, std::collections::BTreeSet<String>), ModelError> {
+pub fn load_model_partial(data: &[u8]) -> Result<TransformerModel, ModelError> {
     gobo_fault::fail_point!(
         "model.io.load",
         ModelError::InvalidInput { what: "injected model.io.load fault" }
@@ -238,18 +234,7 @@ pub fn load_model_partial(
         type_vocab,
         has_pooler,
     };
-    config.validate()?;
-
-    // Weights default to zeros so absent tensors are inert
-    // placeholders rather than random values.
-    let mut model = TransformerModel::new(
-        config.clone(),
-        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0),
-    )?;
-    for spec in model.fc_layers().iter().chain(&model.embedding_tables()) {
-        let dims = [spec.rows, spec.cols];
-        model.set_weight(&spec.name, Tensor::zeros(&dims))?;
-    }
+    let mut model = TransformerModel::skeleton(config)?;
     let count = r.u32()? as usize;
     let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for _ in 0..count {
@@ -266,7 +251,7 @@ pub fn load_model_partial(
     if r.pos != data.len() {
         return Err(ModelError::InvalidInput { what: "trailing bytes in model file" });
     }
-    Ok((model, seen))
+    Ok(model)
 }
 
 /// Writes `bytes` to `path` atomically: the data goes to a sibling

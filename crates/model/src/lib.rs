@@ -10,11 +10,13 @@
 //!   (the 73 / 145 FC layers of Figure 3) with its dimensions;
 //! * [`weights`] — named weight storage and the inference-only
 //!   [`weights::TransformerModel`];
-//! * [`forward`] — the FP32 encoder forward pass (attention,
-//!   intermediate, output, pooler: Figure 1a);
-//! * [`batch`] / [`compute`] — the ragged batched forward pass and the
-//!   pluggable weight-product backend that lets a serving engine run
-//!   the FC layers directly on compressed weights;
+//! * [`batch`] / [`compute`] — the encoder forward pass (attention,
+//!   intermediate, output, pooler: Figure 1a) over a ragged batch, and
+//!   the pluggable weight-product backend that lets a serving engine
+//!   run the FC layers directly on compressed weights;
+//! * [`forward`] — the one-sequence entry point
+//!   ([`TransformerModel::encode`], a batch of one) and input
+//!   validation;
 //! * [`synth`] — synthetic full-scale weight generation that matches
 //!   the paper's observed per-layer Gaussian-plus-outliers shape
 //!   (Figures 1b/1c), substituting for the pre-trained checkpoints we

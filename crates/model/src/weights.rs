@@ -36,14 +36,29 @@ impl TransformerModel {
     /// Returns [`ModelError::InvalidConfig`] when the configuration is
     /// inconsistent.
     pub fn new(config: ModelConfig, rng: &mut impl Rng) -> Result<Self, ModelError> {
+        let mut model = Self::skeleton(config)?;
+        for spec in enumerate_fc_layers(&model.config) {
+            model.weights.insert(spec.name.clone(), xavier_normal(rng, spec.rows, spec.cols));
+        }
+        for spec in enumerate_embedding_tables(&model.config) {
+            model.weights.insert(spec.name.clone(), randn(rng, &[spec.rows, spec.cols], 0.0, 0.02));
+        }
+        Ok(model)
+    }
+
+    /// Builds a model that holds no quantizable weight yet: zero
+    /// biases and unit LayerNorm gains only. Weights are added with
+    /// [`TransformerModel::set_weight`]; until then
+    /// [`TransformerModel::weight`] reports them as unknown, so a dense
+    /// product against a missing weight is an error, never a silent
+    /// zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidConfig`] when the configuration is
+    /// inconsistent.
+    pub fn skeleton(config: ModelConfig) -> Result<Self, ModelError> {
         config.validate()?;
-        let mut weights = BTreeMap::new();
-        for spec in enumerate_fc_layers(&config) {
-            weights.insert(spec.name.clone(), xavier_normal(rng, spec.rows, spec.cols));
-        }
-        for spec in enumerate_embedding_tables(&config) {
-            weights.insert(spec.name.clone(), randn(rng, &[spec.rows, spec.cols], 0.0, 0.02));
-        }
         let mut aux = BTreeMap::new();
         let h = config.hidden;
         let mut ln = |name: String| {
@@ -58,7 +73,7 @@ impl TransformerModel {
         for spec in enumerate_fc_layers(&config) {
             aux.insert(format!("{}.bias", spec.name), Tensor::zeros(&[spec.rows]));
         }
-        Ok(TransformerModel { config, weights, aux })
+        Ok(TransformerModel { config, weights: BTreeMap::new(), aux })
     }
 
     /// The model's configuration.
@@ -75,26 +90,44 @@ impl TransformerModel {
         self.weights.get(name).ok_or_else(|| ModelError::UnknownLayer { name: name.into() })
     }
 
-    /// Replaces a quantizable weight matrix, enforcing shape equality.
+    /// Sets a quantizable weight matrix, enforcing the shape its spec
+    /// gives. The weight need not be present yet.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::UnknownLayer`] for unknown names and
     /// [`ModelError::WeightShape`] when the shapes differ.
     pub fn set_weight(&mut self, name: &str, tensor: Tensor) -> Result<(), ModelError> {
-        let slot = self
-            .weights
-            .get_mut(name)
-            .ok_or_else(|| ModelError::UnknownLayer { name: name.into() })?;
-        if slot.dims() != tensor.dims() {
+        let spec = self.weight_spec(name)?;
+        if tensor.dims() != [spec.rows, spec.cols] {
             return Err(ModelError::WeightShape {
                 layer: name.into(),
-                expected: slot.dims().to_vec(),
+                expected: vec![spec.rows, spec.cols],
                 got: tensor.dims().to_vec(),
             });
         }
-        *slot = tensor;
+        self.weights.insert(spec.name, tensor);
         Ok(())
+    }
+
+    /// Removes a quantizable weight matrix, returning it if it was
+    /// present.
+    pub fn remove_weight(&mut self, name: &str) -> Option<Tensor> {
+        self.weights.remove(name)
+    }
+
+    /// The spec (kind and shape) of the quantizable weight `name`,
+    /// whether or not the model currently holds it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::UnknownLayer`] for unknown names.
+    pub fn weight_spec(&self, name: &str) -> Result<FcLayerSpec, ModelError> {
+        self.fc_layers()
+            .into_iter()
+            .chain(self.embedding_tables())
+            .find(|spec| spec.name == name)
+            .ok_or_else(|| ModelError::UnknownLayer { name: name.into() })
     }
 
     /// Borrows an auxiliary (bias / LayerNorm) parameter by name.
@@ -125,8 +158,8 @@ impl TransformerModel {
         Ok(())
     }
 
-    /// Iterates over `(name, tensor)` for all quantizable weights in
-    /// name order.
+    /// Iterates over `(name, tensor)` for the quantizable weights the
+    /// model holds, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
         self.weights.iter().map(|(k, v)| (k.as_str(), v))
     }
@@ -141,7 +174,7 @@ impl TransformerModel {
         enumerate_embedding_tables(&self.config)
     }
 
-    /// Total FP32 bytes held in quantizable weights.
+    /// Total FP32 bytes of the quantizable weights the model holds.
     pub fn weight_bytes(&self) -> usize {
         self.weights.values().map(|t| t.len() * 4).sum()
     }
@@ -176,6 +209,24 @@ mod tests {
         let m = tiny();
         assert!(matches!(m.weight("encoder.9.output"), Err(ModelError::UnknownLayer { .. })));
         assert!(m.aux("nope").is_err());
+    }
+
+    #[test]
+    fn skeleton_holds_no_weight_until_set() {
+        let mut m = TransformerModel::skeleton(tiny().config().clone()).unwrap();
+        assert_eq!(m.iter().count(), 0);
+        assert_eq!(m.weight_bytes(), 0);
+        assert!(matches!(m.weight("pooler"), Err(ModelError::UnknownLayer { .. })));
+        assert!(m.aux("pooler.bias").is_ok());
+        let spec = m.weight_spec("pooler").unwrap();
+        m.set_weight("pooler", Tensor::zeros(&[spec.rows, spec.cols])).unwrap();
+        assert!(m.weight("pooler").is_ok());
+        assert!(matches!(
+            m.set_weight("encoder.0.output", Tensor::zeros(&[2, 2])),
+            Err(ModelError::WeightShape { .. })
+        ));
+        assert!(m.remove_weight("pooler").is_some());
+        assert!(m.weight("pooler").is_err());
     }
 
     #[test]

@@ -133,10 +133,11 @@ pub struct ModelStatusFrame {
     pub name: String,
     /// Bit width of this entry.
     pub bits: u8,
-    /// Whether the decoded form is resident in the node's LRU.
+    /// Whether the model is resident in the node's LRU.
     pub resident: bool,
-    /// Decoded size in bytes (0 when evicted).
-    pub decoded_bytes: u64,
+    /// Resident size in bytes: the compressed FC layers plus the FP32
+    /// skeleton (0 when evicted).
+    pub resident_bytes: u64,
 }
 
 /// A node's answer to a heartbeat: liveness plus load.
@@ -396,7 +397,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
                 w.str(&m.name);
                 w.u8(m.bits);
                 w.bool(m.resident);
-                w.u64(m.decoded_bytes);
+                w.u64(m.resident_bytes);
             }
         }
         Frame::Drain | Frame::DrainAck => {}
@@ -453,7 +454,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
                     name: r.str("model name")?,
                     bits: r.u8("bits")?,
                     resident: r.bool("resident flag")?,
-                    decoded_bytes: r.u64("decoded bytes")?,
+                    resident_bytes: r.u64("resident bytes")?,
                 });
             }
             Frame::HeartbeatAck(HeartbeatAckFrame { seq, queue_depth, draining, models })
@@ -608,13 +609,13 @@ mod tests {
                         name: "MiniBert".to_string(),
                         bits: 3,
                         resident: true,
-                        decoded_bytes: 1 << 20,
+                        resident_bytes: 1 << 20,
                     },
                     ModelStatusFrame {
                         name: "Tiny".to_string(),
                         bits: 4,
                         resident: false,
-                        decoded_bytes: 0,
+                        resident_bytes: 0,
                     },
                 ],
             }),

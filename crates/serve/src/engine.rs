@@ -1,15 +1,15 @@
 //! The compute-on-compressed serving engine.
 //!
-//! A registered model keeps two representations: the decoded FP32
-//! [`TransformerModel`] (embeddings, aux parameters, dense fallback)
-//! and the compressed archive itself. [`QuantizedEngine`] wires the
-//! second into the forward pass: it implements
-//! [`WeightCompute`], routing every archived FC product to
+//! A served model is resident in compressed form only. The engine's
+//! model is the container's skeleton — configuration, biases,
+//! LayerNorms and unarchived weights — plus archived embedding tables
+//! decoded to FP32, because row gathers read FP32 rows. Every archived
+//! FC layer is held only as a [`QuantizedMatrix`]; the model has no
+//! FP32 copy of it. [`QuantizedEngine`] implements [`WeightCompute`],
+//! routing every archived FC product to
 //! [`QuantizedMatrix::matmul_blocked`] — the cache-blocked batched GEMM
 //! that decodes each weight tile **once** per batch instead of once per
-//! request. Embedding tables are consumed by row gathers, not matrix
-//! products, so they stay on the dense path regardless of whether they
-//! were archived.
+//! request.
 //!
 //! The blocked kernel is bit-identical to decoding the layer and
 //! multiplying dense, so an engine-served output is byte-identical to
@@ -31,8 +31,8 @@ use gobo_tensor::Tensor;
 
 use crate::error::ServeError;
 
-/// A decoded model paired with its compressed FC layers, executing
-/// batched forwards directly on the packed representation.
+/// A model paired with its compressed FC layers, executing batched
+/// forwards directly on the packed representation.
 #[derive(Debug)]
 pub struct QuantizedEngine {
     model: Arc<TransformerModel>,
@@ -40,17 +40,31 @@ pub struct QuantizedEngine {
 }
 
 impl QuantizedEngine {
-    /// Builds an engine over `model` (already decoded from
-    /// `compressed`), wrapping every archived rank-2 FC weight as a
-    /// [`QuantizedMatrix`]. Archived embedding tables are skipped —
-    /// they are read by row gathers, which the dense skeleton serves.
+    /// Builds the compressed-resident engine for `compressed`: the
+    /// skeleton with archived embedding tables decoded, and every
+    /// archived FC layer packed.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Internal`] when an archive entry's element
-    /// count disagrees with the model's weight shape (the container
-    /// would have failed to decode first, so this guards an internal
-    /// invariant, not user input).
+    /// Returns [`ServeError::Format`] when an archived embedding table
+    /// does not decode to its spec, plus everything
+    /// [`QuantizedEngine::new`] rejects.
+    pub fn from_compressed(compressed: &CompressedModel) -> Result<Self, ServeError> {
+        let model = compressed.decode_layers(|name| name.starts_with("embeddings."))?;
+        Self::new(Arc::new(model), compressed)
+    }
+
+    /// Builds an engine over `model` — the skeleton of `compressed`,
+    /// optionally with archived weights decoded — wrapping every
+    /// archived FC weight as a [`QuantizedMatrix`] shaped by the
+    /// model's spec. Archived embedding tables are skipped: they are
+    /// read by row gathers, so `model` must hold them in FP32.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Internal`] when an archive entry names no
+    /// weight of the model or its element count disagrees with the
+    /// spec's shape.
     pub fn new(
         model: Arc<TransformerModel>,
         compressed: &CompressedModel,
@@ -60,22 +74,28 @@ impl QuantizedEngine {
             if name.starts_with("embeddings.") {
                 continue;
             }
-            let Ok(weight) = model.weight(name) else {
-                continue;
-            };
-            let &[rows, cols] = weight.dims() else {
-                continue;
-            };
-            let matrix = QuantizedMatrix::new(layer.clone(), rows, cols)
+            let spec = model
+                .weight_spec(name)
+                .map_err(|_| ServeError::Internal("archive layer unknown to the model"))?;
+            let matrix = QuantizedMatrix::new(layer.clone(), spec.rows, spec.cols)
                 .map_err(|_| ServeError::Internal("archive layer shape mismatch"))?;
-            fc.insert(name.to_owned(), matrix);
+            fc.insert(spec.name, matrix);
         }
         Ok(QuantizedEngine { model, fc })
     }
 
-    /// The decoded model this engine computes for.
+    /// The model this engine computes for: for an engine from
+    /// [`QuantizedEngine::from_compressed`], a skeleton without the
+    /// archived FC weights.
     pub fn model(&self) -> &Arc<TransformerModel> {
         &self.model
+    }
+
+    /// Bytes the engine keeps resident: the FP32 weights its model
+    /// holds plus the compressed FC layers.
+    pub fn resident_bytes(&self) -> usize {
+        let packed: usize = self.fc.values().map(|m| m.layer().compressed_bytes()).sum();
+        self.model.weight_bytes() + packed
     }
 
     /// Number of FC layers served from the compressed representation.

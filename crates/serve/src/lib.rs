@@ -2,12 +2,12 @@
 //!
 //! GOBO's decoded models are plug-in compatible with any FP32 engine;
 //! this crate is that engine's front door. It loads `.gobom` compressed
-//! containers ([`gobo::format::CompressedModel`]), decodes each **once**
-//! into a [`gobo_model::TransformerModel`], and serves encode requests
-//! over HTTP/1.1 with dynamic batching:
+//! containers ([`gobo::format::CompressedModel`]), keeps each resident
+//! in its compressed form, and serves encode requests over HTTP/1.1
+//! with dynamic batching:
 //!
 //! * [`registry`] — named, *versioned* model cache keyed by
-//!   *name/bits*, LRU-evicted under a decoded-byte budget, with an
+//!   *name/bits*, LRU-evicted under a resident-byte budget, with an
 //!   atomic publish/promote/rollback revision lifecycle (in-flight
 //!   batches drain on the old revision before it is retired);
 //! * [`lifecycle`] — the canary controller: routes a configurable

@@ -52,7 +52,7 @@ pub struct Metrics {
     pub queue_wait_us: Histogram,
     /// Models currently resident in the registry (gauge).
     pub registry_models: AtomicU64,
-    /// Decoded bytes currently resident in the registry (gauge).
+    /// Bytes currently resident in the registry (gauge).
     pub registry_bytes: AtomicU64,
     /// Models evicted from the registry under the byte budget.
     pub registry_evictions: AtomicU64,
@@ -248,7 +248,7 @@ impl Metrics {
         );
         gauge(
             "registry_bytes",
-            "decoded bytes resident in the registry",
+            "resident bytes in the registry (compressed FC layers plus FP32 skeleton)",
             self.registry_bytes.load(Ordering::Relaxed),
         );
         gauge(

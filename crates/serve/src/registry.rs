@@ -1,11 +1,14 @@
-//! The model registry: named, decoded-once, LRU-bounded, *versioned*
-//! model cache.
+//! The model registry: named, compressed-resident, LRU-bounded,
+//! *versioned* model cache.
 //!
-//! A `.gobom` container is loaded from disk (or handed over in memory),
-//! decoded **once** into a plug-in-compatible FP32
-//! [`TransformerModel`], and cached under a *name/bits* slot — the same
-//! logical model quantized at different widths serves side by side.
-//! Residency is bounded by a decoded-byte budget with LRU eviction;
+//! A `.gobom` container is loaded from disk (or handed over in memory)
+//! and cached under a *name/bits* slot — the same logical model
+//! quantized at different widths serves side by side. A revision stays
+//! in its compressed form: a [`QuantizedEngine`] over the container's
+//! skeleton, with each archived FC layer held only as packed indices
+//! and only archived embedding tables decoded to FP32 (row gathers read
+//! FP32 rows). No FP32 copy of an archived FC weight is ever built.
+//! Residency is bounded by a resident-byte budget with LRU eviction;
 //! handles already held by in-flight batches stay valid after eviction
 //! because entries are reference counted (`Arc`).
 //!
@@ -14,7 +17,7 @@
 //! Every entry carries a monotone per-slot revision (`name@bits@rN`),
 //! so a redeploy never mutates a served model in place:
 //!
-//! 1. [`ModelRegistry::publish`] decodes the incoming container
+//! 1. [`ModelRegistry::publish`] builds the incoming revision's engine
 //!    **outside** the registry lock, fires the `registry.swap`
 //!    failpoint *before any mutation* (an injected rejection leaves the
 //!    registry untouched), and installs the new revision as the slot's
@@ -43,7 +46,6 @@ use std::sync::Arc;
 use gobo_sanitize::{SanMutex, SanMutexGuard};
 
 use gobo::format::CompressedModel;
-use gobo_model::TransformerModel;
 
 use crate::engine::QuantizedEngine;
 use crate::error::ServeError;
@@ -100,22 +102,21 @@ impl std::fmt::Display for RevState {
     }
 }
 
-/// A resident decoded model revision plus its accounting.
+/// A resident model revision plus its accounting.
 #[derive(Debug)]
 pub struct ModelEntry {
     /// The slot key.
     pub key: ModelKey,
     /// Monotone per-slot revision number (1 for the first install).
     pub rev: u64,
-    /// The decoded FP32 model, shared with in-flight batches.
-    pub model: Arc<TransformerModel>,
-    /// The compute-on-compressed engine over the same model: archived
-    /// FC layers run the blocked batched GEMM straight on the packed
-    /// indices, everything else falls back to the dense weights.
+    /// The compute-on-compressed engine, shared with in-flight batches:
+    /// archived FC layers run the blocked batched GEMM straight on the
+    /// packed indices; [`QuantizedEngine::model`] is the skeleton
+    /// (configuration, biases, LayerNorms, FP32 embeddings).
     pub engine: Arc<QuantizedEngine>,
-    /// Decoded FP32 bytes charged against the registry budget
-    /// (quantizable weights + auxiliary parameters).
-    pub decoded_bytes: usize,
+    /// Resident bytes charged against the registry budget
+    /// ([`QuantizedEngine::resident_bytes`]).
+    pub resident_bytes: usize,
     /// Serialized size of the compressed container.
     pub compressed_bytes: usize,
     /// Number of quantized layers in the archive.
@@ -132,7 +133,7 @@ impl ModelEntry {
 /// Registry residency limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryConfig {
-    /// Decoded-byte budget. The most recently inserted model is always
+    /// Resident-byte budget. The most recently inserted model is always
     /// kept, even if it alone exceeds the budget; everything beyond the
     /// budget is evicted least-recently-used first.
     pub max_bytes: usize,
@@ -146,7 +147,7 @@ impl Default for RegistryConfig {
     }
 }
 
-/// Sizes remembered for a model after its decoded form was evicted.
+/// Sizes remembered for a model after it was evicted.
 #[derive(Debug, Clone, Copy)]
 struct EvictedInfo {
     rev: u64,
@@ -167,11 +168,10 @@ pub struct ModelStatus {
     pub rev: u64,
     /// Lifecycle state of this revision.
     pub state: RevState,
-    /// Whether the decoded model currently occupies memory.
+    /// Whether the revision currently occupies memory.
     pub resident: bool,
-    /// Decoded FP32 bytes resident for this revision (0 when not
-    /// resident).
-    pub decoded_bytes: usize,
+    /// Bytes resident for this revision (0 when not resident).
+    pub resident_bytes: usize,
     /// Serialized size of the compressed container.
     pub compressed_bytes: usize,
     /// Number of quantized layers in the archive.
@@ -207,15 +207,14 @@ pub struct ModelRegistry {
 }
 
 /// Everything [`ModelRegistry::insert`]/[`publish`] need that can be
-/// computed *outside* the registry lock: the decode and engine build
-/// dominate a swap, so the lock is held only for pointer flips.
+/// computed *outside* the registry lock: the engine build dominates a
+/// swap, so the lock is held only for pointer flips.
 ///
 /// [`publish`]: ModelRegistry::publish
-struct DecodedParts {
+struct Parts {
     key: ModelKey,
-    model: Arc<TransformerModel>,
     engine: Arc<QuantizedEngine>,
-    decoded_bytes: usize,
+    resident_bytes: usize,
     compressed_bytes: usize,
     quantized_layers: usize,
 }
@@ -295,25 +294,18 @@ impl ModelRegistry {
         self.publish(name, &compressed)
     }
 
-    /// Decodes `compressed` and the serving engine, outside the lock.
-    fn decode_parts(
-        &self,
-        name: &str,
-        compressed: &CompressedModel,
-    ) -> Result<DecodedParts, ServeError> {
+    /// Builds the serving engine for `compressed`, outside the lock.
+    fn build_parts(&self, name: &str, compressed: &CompressedModel) -> Result<Parts, ServeError> {
         gobo_fault::fail_point!(
             "registry.decode",
             ServeError::Internal("injected registry.decode fault")
         );
-        let model = Arc::new(compressed.decode()?);
-        let engine = Arc::new(QuantizedEngine::new(Arc::clone(&model), compressed)?);
+        let engine = QuantizedEngine::from_compressed(compressed)?;
         let bits = compressed.archive.iter().map(|(_, l)| l.bits()).max().unwrap_or(32);
-        let decoded_bytes = model_bytes(&model);
-        Ok(DecodedParts {
+        Ok(Parts {
             key: ModelKey { name: name.to_owned(), bits },
-            model,
-            engine,
-            decoded_bytes,
+            resident_bytes: engine.resident_bytes(),
+            engine: Arc::new(engine),
             compressed_bytes: compressed.serialized_bytes(),
             quantized_layers: compressed.archive.len(),
         })
@@ -321,7 +313,7 @@ impl ModelRegistry {
 
     /// Assembles the entry under the lock, assigning the slot's next
     /// revision number.
-    fn next_entry(inner: &mut Inner, parts: DecodedParts) -> Arc<ModelEntry> {
+    fn next_entry(inner: &mut Inner, parts: Parts) -> Arc<ModelEntry> {
         let rev = inner
             .revs
             .entry(parts.key.clone())
@@ -330,28 +322,27 @@ impl ModelRegistry {
         Arc::new(ModelEntry {
             key: parts.key,
             rev: *rev,
-            model: parts.model,
             engine: parts.engine,
-            decoded_bytes: parts.decoded_bytes,
+            resident_bytes: parts.resident_bytes,
             compressed_bytes: parts.compressed_bytes,
             quantized_layers: parts.quantized_layers,
         })
     }
 
-    /// Decodes `compressed` once and registers it under `name` as the
+    /// Builds `compressed`'s engine and registers it under `name` as the
     /// immediately-active revision — a prior active revision for the
     /// slot moves to draining — evicting LRU entries beyond the
     /// configured budget.
     ///
     /// # Errors
     ///
-    /// Propagates decode failures ([`ServeError::Format`]).
+    /// Propagates engine-build failures ([`ServeError::Format`]).
     pub fn insert(
         &self,
         name: &str,
         compressed: &CompressedModel,
     ) -> Result<Arc<ModelEntry>, ServeError> {
-        let parts = self.decode_parts(name, compressed)?;
+        let parts = self.build_parts(name, compressed)?;
         let mut inner = self.lock_inner();
         let entry = Self::next_entry(&mut inner, parts);
         inner.tick += 1;
@@ -368,7 +359,7 @@ impl ModelRegistry {
     }
 
     /// Publishes a new revision of `name` through the canary lifecycle:
-    /// the container is decoded outside the lock, the `registry.swap`
+    /// the engine is built outside the lock, the `registry.swap`
     /// failpoint fires *before any mutation* (an injected rejection
     /// leaves the registry exactly as it was), and the revision is
     /// installed as the slot's canary — or directly as active when the
@@ -377,7 +368,7 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates decode failures and injected `registry.swap` /
+    /// Propagates engine-build failures and injected `registry.swap` /
     /// `registry.decode` faults; on any error the registry is
     /// untouched.
     pub fn publish(
@@ -385,7 +376,7 @@ impl ModelRegistry {
         name: &str,
         compressed: &CompressedModel,
     ) -> Result<(Arc<ModelEntry>, RevState), ServeError> {
-        let parts = self.decode_parts(name, compressed)?;
+        let parts = self.build_parts(name, compressed)?;
         gobo_fault::fail_point!(
             "registry.swap",
             ServeError::Internal("injected registry.swap fault")
@@ -500,7 +491,7 @@ impl ModelRegistry {
             rev: e.rev,
             state,
             resident: true,
-            decoded_bytes: e.decoded_bytes,
+            resident_bytes: e.resident_bytes,
             compressed_bytes: e.compressed_bytes,
             quantized_layers: e.quantized_layers,
         };
@@ -521,7 +512,7 @@ impl ModelRegistry {
             rev: *rev,
             state: RevState::Retired,
             resident: false,
-            decoded_bytes: 0,
+            resident_bytes: 0,
             compressed_bytes: 0,
             quantized_layers: 0,
         }));
@@ -533,7 +524,7 @@ impl ModelRegistry {
                 rev: info.rev,
                 state: RevState::Evicted,
                 resident: false,
-                decoded_bytes: 0,
+                resident_bytes: 0,
                 compressed_bytes: info.compressed_bytes,
                 quantized_layers: info.quantized_layers,
             })
@@ -543,7 +534,7 @@ impl ModelRegistry {
         out
     }
 
-    /// Total decoded bytes currently occupying memory: active plus
+    /// Total resident bytes currently occupying memory: active plus
     /// canary plus draining revisions.
     pub fn resident_bytes(&self) -> usize {
         let inner = self.lock_inner();
@@ -579,7 +570,7 @@ impl ModelRegistry {
 
     fn evict_beyond_budget(&self, inner: &mut Inner, keep: &ModelKey) {
         loop {
-            let total: usize = inner.entries.values().map(|e| e.decoded_bytes).sum();
+            let total: usize = inner.entries.values().map(|e| e.resident_bytes).sum();
             let over_bytes = total > self.config.max_bytes;
             let over_count = inner.entries.len() > self.config.max_models;
             if (!over_bytes && !over_count) || inner.entries.len() <= 1 {
@@ -645,7 +636,7 @@ impl ModelRegistry {
             .values()
             .chain(inner.canaries.values())
             .chain(inner.draining.iter())
-            .map(|e| e.decoded_bytes)
+            .map(|e| e.resident_bytes)
             .sum()
     }
 
@@ -656,18 +647,14 @@ impl ModelRegistry {
     }
 }
 
-/// FP32 bytes of every tensor the decoded model holds (quantizable
-/// weights plus auxiliary parameters, approximated as weights only —
-/// aux tensors are biases/LayerNorms, a negligible fraction).
-fn model_bytes(model: &TransformerModel) -> usize {
-    model.weight_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gobo::pipeline::{quantize_model, QuantizeOptions};
+    use gobo_model::batch::EncodeInput;
     use gobo_model::config::ModelConfig;
+    use gobo_model::forward::EncoderOutput;
+    use gobo_model::{ModelError, TransformerModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -680,6 +667,12 @@ mod tests {
 
     fn registry(max_bytes: usize, max_models: usize) -> ModelRegistry {
         ModelRegistry::new(RegistryConfig { max_bytes, max_models }, Arc::new(Metrics::new()))
+    }
+
+    /// Encodes one sequence on the revision's serving engine.
+    fn encode(entry: &ModelEntry, ids: &[usize]) -> Result<EncoderOutput, ModelError> {
+        let mut out = entry.engine.encode_batch(&[EncodeInput { ids, type_ids: &[] }])?;
+        Ok(out.remove(0))
     }
 
     #[test]
@@ -702,21 +695,52 @@ mod tests {
         let r = registry(usize::MAX, 4);
         let entry = r.insert("m", &c).unwrap();
         let direct = c.decode().unwrap();
-        let a = entry.model.encode(&[1, 2, 3], &[]).unwrap();
+        let a = encode(&entry, &[1, 2, 3]).unwrap();
         let b = direct.encode(&[1, 2, 3], &[]).unwrap();
         assert_eq!(a, b);
-        assert!(entry.decoded_bytes > 0);
+        assert!(entry.resident_bytes > 0);
         assert!(entry.compressed_bytes > 0);
         assert!(entry.quantized_layers > 0);
     }
 
     #[test]
+    fn published_revision_holds_no_fp32_fc_weight() {
+        let c = compressed(9, 3);
+        let r = registry(usize::MAX, 4);
+        let (entry, _) = r.publish("m", &c).unwrap();
+        let model = entry.engine.model();
+        let mut archived_fc = 0;
+        for (name, _) in c.archive.iter().filter(|(n, _)| !n.starts_with("embeddings.")) {
+            archived_fc += 1;
+            assert!(
+                matches!(model.weight(name), Err(ModelError::UnknownLayer { .. })),
+                "{name} is resident in FP32"
+            );
+        }
+        assert!(archived_fc > 0);
+        let decoded = c.decode().unwrap();
+        assert!(
+            entry.resident_bytes < decoded.weight_bytes(),
+            "resident {} vs decoded {}",
+            entry.resident_bytes,
+            decoded.weight_bytes()
+        );
+        let status = r.status();
+        assert_eq!(status[0].resident_bytes, entry.resident_bytes);
+    }
+
+    #[test]
     fn lru_eviction_under_byte_budget() {
-        let one = compressed(1, 3);
-        let r = registry(usize::MAX, 16);
-        let bytes = r.insert("probe", &one).unwrap().decoded_bytes;
-        // Budget for two models; the third insert evicts the LRU.
-        let r = registry(bytes * 2, 16);
+        // Resident bytes depend on each archive's outlier count, so the
+        // three models differ slightly in size.
+        let probe = registry(usize::MAX, 16);
+        let sizes: Vec<usize> = (1..=3)
+            .map(|seed| probe.insert(&format!("p{seed}"), &compressed(seed, 3)).unwrap())
+            .map(|e| e.resident_bytes)
+            .collect();
+        // Budget for any two models; the third insert evicts the LRU.
+        let budget = (sizes[0] + sizes[1]).max(sizes[0] + sizes[2]).max(sizes[1] + sizes[2]);
+        let r = registry(budget, 16);
         r.insert("a", &compressed(1, 3)).unwrap();
         r.insert("b", &compressed(2, 3)).unwrap();
         r.get("a", None).unwrap(); // touch `a`: now `b` is LRU
@@ -752,8 +776,8 @@ mod tests {
         let held = r.insert("a", &compressed(1, 3)).unwrap();
         r.insert("b", &compressed(2, 3)).unwrap(); // evicts `a`
         assert!(r.get("a", None).is_err());
-        // The Arc keeps the decoded model alive for in-flight work.
-        assert!(held.model.encode(&[1, 2], &[]).is_ok());
+        // The Arc keeps the revision alive for in-flight work.
+        assert!(encode(&held, &[1, 2]).is_ok());
     }
 
     #[test]
@@ -783,7 +807,7 @@ mod tests {
                     // `entry` is now a pin. The inserter may evict the
                     // slot at any point from here on; the encode must
                     // still see the right weights.
-                    let out = entry.model.encode(&[1, 2, 3], &[]).expect("pinned encode failed");
+                    let out = encode(&entry, &[1, 2, 3]).expect("pinned encode failed");
                     assert_eq!(out, reference[j], "pinned handle served wrong weights");
                     served += 1;
                 }
@@ -820,12 +844,12 @@ mod tests {
         assert_eq!(status.len(), 2);
         let b = status.iter().find(|s| s.key.name == "b").unwrap();
         assert!(b.resident);
-        assert!(b.decoded_bytes > 0);
+        assert!(b.resident_bytes > 0);
         assert_eq!(b.state, RevState::Active);
         assert_eq!(b.rev, 1);
         let a = status.iter().find(|s| s.key.name == "a").unwrap();
         assert!(!a.resident);
-        assert_eq!(a.decoded_bytes, 0);
+        assert_eq!(a.resident_bytes, 0);
         assert!(a.compressed_bytes > 0);
         assert_eq!(a.state, RevState::Evicted);
         // Re-inserting clears the evicted record.
@@ -874,7 +898,7 @@ mod tests {
         drop(promoted);
         r.sweep();
         assert_eq!(r.draining_len(), 1, "rev 1 still pinned by in_flight");
-        assert!(in_flight.model.encode(&[1, 2], &[]).is_ok());
+        assert!(encode(&in_flight, &[1, 2]).is_ok());
         drop(in_flight);
         r.sweep();
         assert_eq!(r.draining_len(), 0, "rev 1 retired once its refcount drained");
@@ -947,6 +971,6 @@ mod tests {
         // Revision bytes are charged while draining.
         let draining_row = status.iter().find(|s| s.state == RevState::Draining).unwrap();
         assert!(draining_row.resident);
-        assert!(draining_row.decoded_bytes > 0);
+        assert!(draining_row.resident_bytes > 0);
     }
 }

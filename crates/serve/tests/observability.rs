@@ -134,20 +134,30 @@ fn metrics_exposition_matches_golden_schema() {
 /// Spans recorded from multiple threads must export as Chrome trace
 /// JSON that (a) parses, (b) keeps each thread's events in monotone
 /// begin order, and (c) nests child spans inside their parents.
+///
+/// The trace ring is process-global, so a sibling test serving a
+/// request while it is enabled records spans too. Only events from this
+/// test's named worker threads are checked.
 #[test]
 fn chrome_trace_export_round_trips_with_cross_thread_nesting() {
+    const WORKERS: [&str; 3] = ["obs-trace-worker-0", "obs-trace-worker-1", "obs-trace-worker-2"];
     gobo_obs::trace::reset();
     gobo_obs::trace::enable();
-    let workers: Vec<_> = (0..3)
-        .map(|i| {
-            std::thread::spawn(move || {
-                for j in 0..4 {
-                    let _outer = gobo_obs::span!("t.outer", worker = i, round = j);
-                    std::thread::sleep(Duration::from_micros(200));
-                    let _inner = gobo_obs::span!("t.inner", worker = i);
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            })
+    let workers: Vec<_> = WORKERS
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            std::thread::Builder::new()
+                .name((*name).to_owned())
+                .spawn(move || {
+                    for j in 0..4 {
+                        let _outer = gobo_obs::span!("t.outer", worker = i, round = j);
+                        std::thread::sleep(Duration::from_micros(200));
+                        let _inner = gobo_obs::span!("t.inner", worker = i);
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                })
+                .unwrap()
         })
         .collect();
     for w in workers {
@@ -161,16 +171,27 @@ fn chrome_trace_export_round_trips_with_cross_thread_nesting() {
     // events with the trace-event fields present.
     let value = parse(&json).expect("chrome trace must parse");
     let events = value.as_array().expect("top level is an array");
-    let mut metadata = 0;
+    let tid_of = |event: &Json| event.get("tid").and_then(Json::as_f64).unwrap() as u64;
+    let mut worker_tids: Vec<u64> = Vec::new();
+    for event in events {
+        if event.get("ph").and_then(Json::as_str) == Some("M") {
+            assert_eq!(event.get("name").and_then(Json::as_str), Some("thread_name"));
+            let name = event.get("args").and_then(|a| a.get("name")).and_then(Json::as_str);
+            if name.is_some_and(|n| WORKERS.contains(&n)) {
+                worker_tids.push(tid_of(event));
+            }
+        }
+    }
+    assert_eq!(worker_tids.len(), 3, "one thread_name record per worker thread");
     let mut complete: Vec<(&Json, u64, u64, u64, u64)> = Vec::new(); // (event, tid, ts, dur, depth)
     for event in events {
         match event.get("ph").and_then(Json::as_str) {
-            Some("M") => {
-                assert_eq!(event.get("name").and_then(Json::as_str), Some("thread_name"));
-                metadata += 1;
-            }
+            Some("M") => {}
             Some("X") => {
-                let tid = event.get("tid").and_then(Json::as_f64).unwrap() as u64;
+                let tid = tid_of(event);
+                if !worker_tids.contains(&tid) {
+                    continue;
+                }
                 let ts = event.get("ts").and_then(Json::as_f64).unwrap() as u64;
                 let dur = event.get("dur").and_then(Json::as_f64).unwrap() as u64;
                 let depth =
@@ -182,7 +203,6 @@ fn chrome_trace_export_round_trips_with_cross_thread_nesting() {
             other => panic!("unexpected ph {other:?}"),
         }
     }
-    assert!(metadata >= 3, "one thread_name record per worker thread");
     assert_eq!(complete.len(), 3 * 4 * 2, "one event per span");
 
     // (b) Per-thread begin times are monotone in export order, and
